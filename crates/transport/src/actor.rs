@@ -6,19 +6,26 @@
 //! mailboxes (see [`crate::mailbox`]): commands arrive from the sequencer as
 //! [`ToShard`] messages, replies go back as [`FromShard`]. The actor has a
 //! single sender (the sequencer), so the order it observes commands in *is*
-//! the sequencer's send order — the runtime leans on that to guarantee, for
-//! example, that a guest node's [`ToShard::Restore`] lands before any
-//! [`ToShard::Effect`] of a later plan reads it.
+//! the sequencer's send order.
 //!
 //! The protocol per cycle, in the order the sequencer sends it:
 //! `Transitions` (crash/restart hooks) → `Prepare` (per-node bookkeeping,
 //! replies with a state snapshot) → `Plan` (read-only planning against the
-//! assembled world, replies with the shard's plans) → per batch: `Extract`
-//! (lend a guest copy of a node to a remote initiator) / `Commit` (execute
-//! plans whose initiator is local) / `Restore` (write back a mutated guest)
-//! / `Effect` (apply a routed third-party effect) → `FinishCycle`
-//! (end-of-cycle hooks, replies whether any alive local wants more) →
-//! eventually `Stop`, returning the shard's state to the sequencer.
+//! assembled world, replies with the shard's plans) → per batch, each
+//! message at most once per shard: `Lend` (move the listed nodes out to
+//! serve as remote commits' destinations, reply with them as `Guests` in
+//! request order) / `Commit` (execute plans whose initiator is local,
+//! against local nodes or guests the jobs carry) / `Apply` (move the
+//! mutated guests back in, then apply the batch's routed effects in plan
+//! order) → `FinishCycle` (end-of-cycle hooks, replies whether any alive
+//! local wants more) → eventually `Stop`, returning the shard's state to the
+//! sequencer.
+//!
+//! A lent node's slot stays empty from its `Lend` until the same batch's
+//! `Apply`. Nothing reads it in that window: a conflict-free batch names
+//! the node in no other plan, so the shard's own `Commit` in that batch
+//! never touches it, and the FIFO mailbox delivers the `Apply` before any
+//! later batch's or cycle's command.
 
 use std::sync::Arc;
 
@@ -30,24 +37,27 @@ use p3q_sim::{
 
 use crate::mailbox::{MailboxReceiver, MailboxSender};
 
+/// Panic message for a read of a slot whose node is out on loan.
+const LENT_OUT: &str = "a lent node was read before its batch's Apply returned it";
+
 /// One commit assigned to the initiator's shard: the plan, its index in the
 /// cycle's global plan order (fixing its RNG stream), and — when the
-/// destination lives on another shard — a guest copy of the destination
-/// node, extracted by the sequencer via [`ToShard::Extract`].
+/// destination lives on another shard — the destination node itself, moved
+/// out of its shard by [`ToShard::Lend`].
 #[derive(Debug)]
 pub struct CommitJob<N, Pl> {
     /// The planned exchange to execute.
     pub plan: ExchangePlan<Pl>,
     /// Position in the cycle's global plan order.
     pub plan_idx: usize,
-    /// Guest copy of the remote destination, if the destination is not
-    /// local to the committing shard.
+    /// The remote destination, if the destination is not local to the
+    /// committing shard.
     pub guest: Option<N>,
 }
 
 /// What one executed [`CommitJob`] produced: the protocol outcome plus the
-/// mutated guest (tagged with its global index) for the sequencer to route
-/// home via [`ToShard::Restore`].
+/// mutated guest (tagged with its global index) for the sequencer to move
+/// home via [`ToShard::Apply`].
 #[derive(Debug)]
 pub struct JobOutcome<N, E> {
     /// Position in the cycle's global plan order.
@@ -92,11 +102,11 @@ pub enum ToShard<N, Pl, E> {
         /// Who is alive this cycle.
         membership: Arc<Membership>,
     },
-    /// Reply with a [`FromShard::Guest`] copy of the local node at this
-    /// global index (it is about to be a remote commit's destination).
-    Extract {
-        /// Global index of the node to copy out.
-        node: usize,
+    /// Move the listed local nodes out (they are about to be remote
+    /// commits' destinations); reply with [`FromShard::Guests`].
+    Lend {
+        /// Global indices of the nodes to lend.
+        nodes: Vec<usize>,
     },
     /// Execute the given jobs (all initiators local, in ascending plan
     /// order); reply with [`FromShard::Outcomes`].
@@ -108,21 +118,16 @@ pub enum ToShard<N, Pl, E> {
         /// The jobs to run, ascending by `plan_idx`.
         jobs: Vec<CommitJob<N, Pl>>,
     },
-    /// Write back the post-commit state of a local node that served as a
-    /// remote commit's guest.
-    Restore {
-        /// Global index of the node to overwrite.
-        node: usize,
-        /// Its post-commit state.
-        state: N,
-    },
-    /// Apply one third-party effect routed to this shard (its target is
-    /// local); bandwidth it records lands in the shard's local recorder.
-    Effect {
+    /// Close a batch: move every lent node back, then apply the effects
+    /// routed here; bandwidth they record lands in the shard's local
+    /// recorder.
+    Apply {
         /// The committing (pre-increment) cycle.
         cycle: u64,
-        /// The effect to apply.
-        effect: E,
+        /// Post-commit states of lent nodes, by global index.
+        restores: Vec<(usize, N)>,
+        /// Effects with their local target, in plan order.
+        effects: Vec<(usize, E)>,
     },
     /// Run end-of-cycle bookkeeping on **all** locals (departed included);
     /// reply with [`FromShard::WantsMore`] over the alive ones.
@@ -144,8 +149,8 @@ pub enum FromShard<N, Pl, E> {
     /// Reply to [`ToShard::Plan`]: plans of the shard's alive locals, in
     /// ascending initiator order.
     Plans(Vec<ExchangePlan<Pl>>),
-    /// Reply to [`ToShard::Extract`]: a copy of the requested node.
-    Guest(N),
+    /// Reply to [`ToShard::Lend`]: the requested nodes, in request order.
+    Guests(Vec<N>),
     /// Reply to [`ToShard::Commit`]: one outcome per job, ascending by
     /// `plan_idx`.
     Outcomes(Vec<JobOutcome<N, E>>),
@@ -173,7 +178,7 @@ fn local_pair_mut<N>(nodes: &mut [N], a: usize, b: usize) -> (&mut N, &mut N) {
 pub(crate) fn run_actor<P, R, S>(
     proto: &P,
     base: usize,
-    mut nodes: Vec<P::Node>,
+    nodes: Vec<P::Node>,
     rx: R,
     tx: S,
 ) -> (Vec<P::Node>, BandwidthRecorder)
@@ -183,6 +188,8 @@ where
     R: MailboxReceiver<ToShard<P::Node, P::Payload, P::Effect>>,
     S: MailboxSender<FromShard<P::Node, P::Payload, P::Effect>>,
 {
+    // `None` only while the node is lent out (see the module docs).
+    let mut slots: Vec<Option<P::Node>> = nodes.into_iter().map(Some).collect();
     let mut bandwidth = BandwidthRecorder::new();
     while let Ok(msg) = rx.recv() {
         match msg {
@@ -192,19 +199,23 @@ where
                 crashed,
             } => {
                 for idx in restarted {
-                    proto.on_restart(&mut nodes[idx - base], cycle);
+                    proto.on_restart(held(&mut slots[idx - base]), cycle);
                 }
                 for idx in crashed {
-                    proto.on_crash(&mut nodes[idx - base], cycle);
+                    proto.on_crash(held(&mut slots[idx - base]), cycle);
                 }
             }
             ToShard::Prepare { cycle, membership } => {
-                for (offset, node) in nodes.iter_mut().enumerate() {
+                for (offset, slot) in slots.iter_mut().enumerate() {
                     if membership.is_alive(base + offset) {
-                        proto.prepare(node, cycle);
+                        proto.prepare(held(slot), cycle);
                     }
                 }
-                if tx.send(FromShard::Snapshot(nodes.clone())).is_err() {
+                let snapshot = slots
+                    .iter()
+                    .map(|slot| slot.as_ref().expect(LENT_OUT).clone())
+                    .collect();
+                if tx.send(FromShard::Snapshot(snapshot)).is_err() {
                     break;
                 }
             }
@@ -216,7 +227,7 @@ where
             } => {
                 let ctx = CycleContext::new(&world, &membership, cycle);
                 let mut plans = Vec::new();
-                for offset in 0..nodes.len() {
+                for offset in 0..slots.len() {
                     let idx = base + offset;
                     if membership.is_alive(idx) {
                         let mut rng = plan_rng(cycle_seed, idx);
@@ -227,9 +238,12 @@ where
                     break;
                 }
             }
-            ToShard::Extract { node } => {
-                let guest = nodes[node - base].clone();
-                if tx.send(FromShard::Guest(guest)).is_err() {
+            ToShard::Lend { nodes } => {
+                let guests = nodes
+                    .into_iter()
+                    .map(|idx| slots[idx - base].take().expect(LENT_OUT))
+                    .collect();
+                if tx.send(FromShard::Guests(guests)).is_err() {
                     break;
                 }
             }
@@ -245,13 +259,13 @@ where
                     let plan = &job.plan;
                     let (outcome, guest) = match (plan.destination, job.guest) {
                         (None, _) => {
-                            let initiator = &mut nodes[plan.initiator - base];
+                            let initiator = held(&mut slots[plan.initiator - base]);
                             let outcome =
                                 proto.commit(cycle, plan, initiator, None, &mut rng, &mut scratch);
                             (outcome, None)
                         }
                         (Some(dest), Some(mut guest)) => {
-                            let initiator = &mut nodes[plan.initiator - base];
+                            let initiator = held(&mut slots[plan.initiator - base]);
                             let outcome = proto.commit(
                                 cycle,
                                 plan,
@@ -264,12 +278,12 @@ where
                         }
                         (Some(dest), None) => {
                             let (initiator, destination) =
-                                local_pair_mut(&mut nodes, plan.initiator - base, dest - base);
+                                local_pair_mut(&mut slots, plan.initiator - base, dest - base);
                             let outcome = proto.commit(
                                 cycle,
                                 plan,
-                                initiator,
-                                Some(destination),
+                                held(initiator),
+                                Some(held(destination)),
                                 &mut rng,
                                 &mut scratch,
                             );
@@ -286,19 +300,35 @@ where
                     break;
                 }
             }
-            ToShard::Restore { node, state } => {
-                nodes[node - base] = state;
-            }
-            ToShard::Effect { cycle, effect } => {
-                let mut world = EffectContext::windowed(&mut nodes, &mut bandwidth, cycle, base);
-                proto.apply_effect(&mut world, effect);
+            ToShard::Apply {
+                cycle,
+                restores,
+                effects,
+            } => {
+                for (idx, state) in restores {
+                    let previous = slots[idx - base].replace(state);
+                    assert!(previous.is_none(), "a restore overwrote a node never lent");
+                }
+                // One-node window: an effect may touch only the node its
+                // `effect_target` names.
+                for (target, effect) in effects {
+                    let node = held(&mut slots[target - base]);
+                    let mut world = EffectContext::windowed(
+                        std::slice::from_mut(node),
+                        &mut bandwidth,
+                        cycle,
+                        target,
+                    );
+                    proto.apply_effect(&mut world, effect);
+                }
             }
             ToShard::FinishCycle { cycle, membership } => {
-                for node in nodes.iter_mut() {
-                    proto.finish_cycle(node, cycle);
+                for slot in slots.iter_mut() {
+                    proto.finish_cycle(held(slot), cycle);
                 }
-                let wants_more = nodes.iter().enumerate().any(|(offset, node)| {
-                    membership.is_alive(base + offset) && proto.wants_more(node, cycle)
+                let wants_more = slots.iter().enumerate().any(|(offset, slot)| {
+                    membership.is_alive(base + offset)
+                        && proto.wants_more(slot.as_ref().expect(LENT_OUT), cycle)
                 });
                 if tx.send(FromShard::WantsMore(wants_more)).is_err() {
                     break;
@@ -307,7 +337,16 @@ where
             ToShard::Stop => break,
         }
     }
+    let nodes = slots
+        .into_iter()
+        .map(|slot| slot.expect(LENT_OUT))
+        .collect();
     (nodes, bandwidth)
+}
+
+/// The node in a slot that is not lent out.
+fn held<N>(slot: &mut Option<N>) -> &mut N {
+    slot.as_mut().expect(LENT_OUT)
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //!   population into contiguous shards, runs each shard as an actor behind
 //!   a command mailbox, and drives them through the engine's plan/commit
 //!   cycle protocol (prepare → snapshot → plan → gather → fault-filter →
-//!   conflict-free batches → extract/commit/restore/effect → finish).
+//!   conflict-free batches → per batch lend/commit/apply → finish).
 //!
 //! # The actor model
 //!
@@ -30,9 +30,13 @@
 //! command mailbox, so each actor observes commands in exactly the order the
 //! sequencer issued them — the whole coordination story is "FIFO per
 //! mailbox, single writer", no locks, no shared state. Cross-shard
-//! exchanges move node state as *values*: the destination's shard lends a
-//! guest copy, the initiator's shard commits against it, and the sequencer
-//! routes the mutated guest home before anything else may observe it.
+//! exchanges move node state as *values*: per batch, each shard owning
+//! cross-shard destinations gets one `Lend` and moves all of them out as
+//! guests in one `Guests` reply, the initiators' shards commit against
+//! them, and each shard's one `Apply` moves its guests back in before it
+//! runs the batch's effects routed to it. Messages per batch grow with the
+//! shard count, not with the number of exchanges, and no node is copied
+//! on the way.
 //!
 //! # The determinism argument
 //!

@@ -23,14 +23,21 @@
 //!   conflict-free batching and the per-plan commit RNGs all key off that
 //!   list, so they decide identically.
 //! * **Commit isolation** — within a batch no node appears twice, so a
-//!   commit's `&mut` pair is disjoint from every other commit's; a
-//!   cross-shard destination travels as a *guest* value (extract → commit →
-//!   restore) which nothing else can observe until it is restored.
-//! * **Apply order** — all of a batch's guests are restored before any of
-//!   its charges/effects apply, mirroring "all commits finish, then
-//!   outcomes apply in plan order". Per-shard mailboxes are FIFO with the
-//!   sequencer as single sender, so a shard always sees restore-before-
-//!   effect and effect-before-next-batch-extract.
+//!   commit's `&mut` pair is disjoint from every other commit's. A
+//!   cross-shard destination *moves* to the committing shard as a guest:
+//!   each owning shard gets one `Lend` per batch listing all of its lent
+//!   nodes and answers with one `Guests` reply in request order; the slot
+//!   it leaves stays empty, and unread, until the guest comes home.
+//! * **Apply order** — each shard gets one `Apply` per batch that restores
+//!   all of its lent guests first and then runs its effects in plan order,
+//!   mirroring "all commits finish, then outcomes apply in plan order"
+//!   (effects on different shards touch different nodes, so only the
+//!   per-shard order matters). Restore-before-effect holds inside that one
+//!   message; per-shard FIFO with the sequencer as single sender makes the
+//!   Apply land before the next batch's Lend or Commit. Each effect runs in
+//!   a one-node window at its [`GossipProtocol::effect_target`], so an
+//!   effect that touches any other node panics instead of mutating a
+//!   neighbour.
 //! * **Bandwidth** — commit charges land in the sequencer's master
 //!   recorder at the committing cycle; effect-recorded bandwidth lands in
 //!   shard-local recorders merged in at the end. Recorder merge is
@@ -432,39 +439,65 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
                     batches: batches.len(),
                 };
 
+                // Batches consume the plan list: each plan moves into
+                // exactly one job.
+                let mut plans: Vec<Option<ExchangePlan<P::Payload>>> =
+                    plans.into_iter().map(Some).collect();
                 for batch in &batches {
-                    // Extract guests for cross-shard destinations and group
-                    // the batch's jobs by the initiator's shard, preserving
-                    // ascending plan order. Guests are safe to copy out:
-                    // within a conflict-free batch the destination appears
-                    // in no other plan, and per-shard FIFO ordering
-                    // guarantees all prior restores/effects already landed.
+                    // Group the batch's jobs by the initiator's shard in
+                    // ascending plan order, and its cross-shard destinations
+                    // by their owner. Lending is safe: within a
+                    // conflict-free batch the destination appears in no
+                    // other plan, and per-shard FIFO ordering guarantees the
+                    // previous batch's Apply already landed.
                     let mut jobs_by: Vec<Vec<CommitJob<N, P::Payload>>> =
                         (0..num_shards).map(|_| Vec::new()).collect();
+                    let mut lends_by: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
+                    // Per owner, the (home shard, job position) each lent
+                    // node goes to, in request order.
+                    let mut borrowers_by: Vec<Vec<(usize, usize)>> = vec![Vec::new(); num_shards];
                     for &plan_idx in batch {
-                        let plan = &plans[plan_idx];
+                        let plan = plans[plan_idx]
+                            .take()
+                            .expect("conflict-free batches name each plan once");
                         let home = shard_of(plan.initiator);
-                        let guest = match plan.destination {
-                            Some(dest) if shard_of(dest) != home => {
-                                let owner = shard_of(dest);
-                                actors[owner]
-                                    .tx
-                                    .send(ToShard::Extract { node: dest })
-                                    .expect(ACTOR_GONE);
-                                let FromShard::Guest(guest) =
-                                    actors[owner].reply.recv().expect(ACTOR_GONE)
-                                else {
-                                    panic!("protocol violation: expected a guest extraction");
-                                };
-                                Some(guest)
-                            }
-                            _ => None,
-                        };
+                        if let Some(dest) = plan.destination.filter(|&d| shard_of(d) != home) {
+                            lends_by[shard_of(dest)].push(dest);
+                            borrowers_by[shard_of(dest)].push((home, jobs_by[home].len()));
+                        }
                         jobs_by[home].push(CommitJob {
-                            plan: plan.clone(),
+                            plan,
                             plan_idx,
-                            guest,
+                            guest: None,
                         });
+                    }
+
+                    // One Lend per owning shard, all sent before any reply
+                    // is awaited; each Guests reply follows request order.
+                    let lending: Vec<usize> = (0..num_shards)
+                        .filter(|&s| !lends_by[s].is_empty())
+                        .collect();
+                    for &s in &lending {
+                        actors[s]
+                            .tx
+                            .send(ToShard::Lend {
+                                nodes: std::mem::take(&mut lends_by[s]),
+                            })
+                            .expect(ACTOR_GONE);
+                    }
+                    for &s in &lending {
+                        let FromShard::Guests(guests) = actors[s].reply.recv().expect(ACTOR_GONE)
+                        else {
+                            panic!("protocol violation: expected lent guests");
+                        };
+                        assert_eq!(
+                            guests.len(),
+                            borrowers_by[s].len(),
+                            "protocol violation: one guest per lend request"
+                        );
+                        for (guest, &(home, pos)) in guests.into_iter().zip(&borrowers_by[s]) {
+                            jobs_by[home][pos].guest = Some(guest);
+                        }
                     }
 
                     // Fan the batch out to every shard with jobs, then
@@ -494,24 +527,22 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
                     }
                     outcomes.sort_by_key(|o| o.plan_idx);
 
-                    // All guests go home before any effect applies: the
+                    // Charges land in the master recorder in plan order;
+                    // guests and effects go into one Apply per shard, which
+                    // restores every guest before any effect runs — the
                     // engine applies outcomes only after the whole batch
                     // committed, so an early plan's effect must observe a
-                    // later plan's post-commit destination. FIFO per shard
-                    // turns this send order into that guarantee.
-                    for outcome in &mut outcomes {
-                        if let Some((idx, state)) = outcome.guest.take() {
-                            actors[shard_of(idx)]
-                                .tx
-                                .send(ToShard::Restore { node: idx, state })
-                                .expect(ACTOR_GONE);
-                        }
-                    }
-
-                    // Charges and effects in plan order (engine order).
-                    // Charges land in the master recorder; effects route to
-                    // the shard owning their declared target.
+                    // later plan's post-commit destination. Effects keep
+                    // plan order within each shard and route to the shard
+                    // owning their declared target.
+                    let mut restores_by: Vec<Vec<(usize, N)>> =
+                        (0..num_shards).map(|_| Vec::new()).collect();
+                    let mut effects_by: Vec<Vec<(usize, P::Effect)>> =
+                        (0..num_shards).map(|_| Vec::new()).collect();
                     for outcome in outcomes {
+                        if let Some((idx, state)) = outcome.guest {
+                            restores_by[shard_of(idx)].push((idx, state));
+                        }
                         for Charge {
                             node,
                             category,
@@ -525,14 +556,23 @@ impl<N: Send + Sync, T: Transport> TransportRuntime<N, T> {
                                 "a sharded transport needs GossipProtocol::effect_target \
                                  to route effects",
                             );
-                            actors[shard_of(target)]
-                                .tx
-                                .send(ToShard::Effect {
-                                    cycle: this_cycle,
-                                    effect,
-                                })
-                                .expect(ACTOR_GONE);
+                            effects_by[shard_of(target)].push((target, effect));
                         }
+                    }
+                    for (s, (restores, effects)) in
+                        restores_by.into_iter().zip(effects_by).enumerate()
+                    {
+                        if restores.is_empty() && effects.is_empty() {
+                            continue;
+                        }
+                        actors[s]
+                            .tx
+                            .send(ToShard::Apply {
+                                cycle: this_cycle,
+                                restores,
+                                effects,
+                            })
+                            .expect(ACTOR_GONE);
                     }
                 }
 
@@ -753,6 +793,211 @@ mod tests {
             assert_eq!(ref_faults.fingerprint(), rt_faults.fingerprint());
             assert_eq!(ref_faults.stats(), rt_faults.stats());
         }
+    }
+
+    /// Every node gossips with the node half the population away, so for
+    /// 2, 3 and 8 actors over 24 nodes every pair crosses shards and one
+    /// owner lends several guests per batch. Commits and effects fold node
+    /// ids and current state into order-sensitive logs, so a guest handed
+    /// to the wrong job, restored to the wrong slot, or an effect applied
+    /// before its batch's restores shows up as a diverged log.
+    struct MirrorProtocol;
+
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Ledger {
+        id: usize,
+        log: u64,
+    }
+
+    fn fold(log: u64, value: u64) -> u64 {
+        (log ^ value).wrapping_mul(0x100_0000_01b3)
+    }
+
+    impl GossipProtocol for MirrorProtocol {
+        type Node = Ledger;
+        type Payload = ();
+        type Effect = (usize, usize);
+        type Scratch = ();
+
+        fn scratch(&self) {}
+
+        fn plan(
+            &self,
+            world: &CycleContext<'_, Ledger>,
+            idx: usize,
+            _rng: &mut rand::rngs::StdRng,
+            out: &mut Vec<ExchangePlan<()>>,
+        ) {
+            let n = world.num_nodes();
+            let partner = (idx + n / 2) % n;
+            if world.is_alive(partner) {
+                out.push(ExchangePlan {
+                    initiator: idx,
+                    destination: Some(partner),
+                    payload: (),
+                });
+            }
+        }
+
+        fn commit(
+            &self,
+            _cycle: u64,
+            plan: &ExchangePlan<()>,
+            initiator: &mut Ledger,
+            destination: Option<&mut Ledger>,
+            _rng: &mut rand::rngs::StdRng,
+            _scratch: &mut (),
+        ) -> CommitOutcome<(usize, usize)> {
+            let dest = destination.expect("mirror plans are pairwise");
+            initiator.log = fold(fold(initiator.log, dest.id as u64), dest.log);
+            dest.log = fold(dest.log, initiator.id as u64);
+            let target = plan.destination.expect("mirror plans are pairwise");
+            let mut outcome = CommitOutcome::empty();
+            outcome.charge(plan.initiator, "mirror", 8);
+            outcome.effect((target, plan.initiator));
+            outcome
+        }
+
+        fn apply_effect(
+            &self,
+            world: &mut EffectContext<'_, Ledger>,
+            (target, from): (usize, usize),
+        ) {
+            let node = world.node_mut(target);
+            node.log = fold(node.log, from as u64);
+            world.record_bandwidth(target, "mirror-effect", 1);
+        }
+
+        fn effect_target(&self, &(target, _): &(usize, usize)) -> Option<usize> {
+            Some(target)
+        }
+    }
+
+    fn ledgers(n: usize, seed: u64) -> Simulator<Ledger> {
+        Simulator::new((0..n).map(|id| Ledger { id, log: 0 }).collect(), seed)
+    }
+
+    #[test]
+    fn cross_shard_batches_match_the_simulator() {
+        const NODES: usize = 24;
+        let cfg = FaultConfig {
+            drop_rate: 0.1,
+            delay_rate: 0.2,
+            duplicate_rate: 0.2,
+            max_delay_cycles: 2,
+            crash_rate: 0.05,
+            downtime_cycles: 1,
+            fault_seed: 5,
+        };
+        for num_actors in [2, 3, 8] {
+            // The premise: the first batch has an owner lending two or more
+            // guests, and no plan stays inside one shard.
+            let shard_size = NODES.div_ceil(num_actors);
+            let plans: Vec<ExchangePlan<()>> = (0..NODES)
+                .map(|i| ExchangePlan {
+                    initiator: i,
+                    destination: Some((i + NODES / 2) % NODES),
+                    payload: (),
+                })
+                .collect();
+            let first = &conflict_free_batches(&plans, NODES)[0];
+            let mut lent = vec![0usize; num_actors];
+            for &p in first {
+                let (from, to) = (plans[p].initiator, plans[p].destination.unwrap());
+                assert_ne!(from / shard_size, to / shard_size);
+                lent[to / shard_size] += 1;
+            }
+            assert!(lent.iter().any(|&l| l >= 2), "actors = {num_actors}");
+
+            for faulted in [false, true] {
+                let label = format!("actors = {num_actors}, faulted = {faulted}");
+                let mut seeded = ledgers(NODES, 3);
+                let mut reference = ledgers(NODES, 3);
+                let mut transport = TransportRuntime::from_simulator(
+                    &mut seeded,
+                    num_actors,
+                    DeliverySchedule::canonical(),
+                );
+                let mut ref_faults: FaultPlan<()> = FaultPlan::new(cfg);
+                let mut rt_faults: FaultPlan<()> = FaultPlan::new(cfg);
+                for _ in 0..6 {
+                    if faulted {
+                        reference.drive(
+                            &MirrorProtocol,
+                            RunOptions::cycles(1).faulted(&mut ref_faults),
+                            |_, _| {},
+                        );
+                        transport.drive(
+                            &MirrorProtocol,
+                            RunOptions::cycles(1).faulted(&mut rt_faults),
+                        );
+                    } else {
+                        reference.drive(&MirrorProtocol, RunOptions::cycles(1), |_, _| {});
+                        transport.drive(&MirrorProtocol, RunOptions::cycles(1));
+                    }
+                }
+                let sim_nodes: Vec<&Ledger> = reference.nodes().iter().collect();
+                let rt_nodes: Vec<&Ledger> = transport.nodes().collect();
+                assert_eq!(sim_nodes, rt_nodes, "{label}: node states diverged");
+                assert_eq!(
+                    reference.bandwidth.totals(),
+                    transport.bandwidth.totals(),
+                    "{label}: bandwidth diverged"
+                );
+                assert_eq!(ref_faults.fingerprint(), rt_faults.fingerprint(), "{label}");
+            }
+        }
+    }
+
+    /// Declares the right target but writes its neighbour.
+    struct StrayEffect;
+
+    impl GossipProtocol for StrayEffect {
+        type Node = Counter;
+        type Payload = ();
+        type Effect = usize;
+        type Scratch = ();
+
+        fn scratch(&self) {}
+
+        fn plan(
+            &self,
+            world: &CycleContext<'_, Counter>,
+            idx: usize,
+            rng: &mut rand::rngs::StdRng,
+            out: &mut Vec<ExchangePlan<()>>,
+        ) {
+            RingProtocol.plan(world, idx, rng, out);
+        }
+
+        fn commit(
+            &self,
+            cycle: u64,
+            plan: &ExchangePlan<()>,
+            initiator: &mut Counter,
+            destination: Option<&mut Counter>,
+            rng: &mut rand::rngs::StdRng,
+            scratch: &mut (),
+        ) -> CommitOutcome<usize> {
+            RingProtocol.commit(cycle, plan, initiator, destination, rng, scratch)
+        }
+
+        fn apply_effect(&self, world: &mut EffectContext<'_, Counter>, target: usize) {
+            world.node_mut(target + 1).effects += 1;
+        }
+
+        fn effect_target(&self, effect: &usize) -> Option<usize> {
+            Some(*effect)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shard actor hung up")]
+    fn an_effect_writing_past_its_target_panics() {
+        let mut sim = counters(8, 1);
+        let mut transport =
+            TransportRuntime::from_simulator(&mut sim, 2, DeliverySchedule::canonical());
+        transport.drive(&StrayEffect, RunOptions::cycles(1));
     }
 
     #[test]
